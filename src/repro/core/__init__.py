@@ -15,10 +15,11 @@
   whole round shards (one round trip per host, negotiated per link),
   merged streams bit-identical to the serial reference at any host
   count;
-* :mod:`repro.core.harvest` -- the asynchronous double-buffered harvest
-  engine: refill rounds execute on the backend while the consumer
-  drains the pool, workers ship packed byte pools, and the output stays
-  bit-identical to the synchronous path;
+* :mod:`repro.core.harvest` -- the double-buffered harvest engine,
+  the one loop every generator refills its pool through: with two
+  rounds in flight (``async_harvest``) the next round executes on the
+  backend while the consumer drains the pool, and the output is
+  bit-identical with one or two;
 * :mod:`repro.core.throughput` -- iteration latency and throughput from
   tightly-scheduled command sequences (Sections 7.2 / 7.4 / Figure 13);
 * :mod:`repro.core.overheads` -- memory / storage / area accounting

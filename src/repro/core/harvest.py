@@ -1,59 +1,69 @@
-"""Asynchronous double-buffered harvest engine.
+"""Double-buffered harvest engine: the one refill loop.
 
 QUAC-TRNG's headline throughput comes from keeping the DRAM banks busy
-back to back; the simulator's batched engine (PR 1) and multi-bank
-fan-out (PR 2) mirror that, but a synchronous ``random_bits`` still
-*blocks* on plan -> execute -> gather for every refill round.  This
-module overlaps those stages:
+back to back; the simulator's batched engine and multi-bank fan-out
+mirror that with planned refill rounds.  Every generator --
+:class:`~repro.core.trng.QuacTrng`,
+:class:`~repro.core.multichannel.SystemTrng`,
+:class:`~repro.core.health.MonitoredTrng` and
+:class:`~repro.core.temperature_manager.TemperatureManagedTrng` -- tops
+its serving pool up through :meth:`AsyncHarvestEngine.fill`, built once
+per generator.  A generator's ``async_harvest`` flag only sets how many
+rounds the engine keeps in flight: one (plan, execute, gather, strictly
+in turn) or two (the double buffer below).
 
 * **Planning stays serial.**  Every round is planned in the caller --
   the child-RNG keys advance the executors' draw counters in plan
-  order, exactly as PR 2's determinism contract requires -- so nothing
+  order, exactly as the determinism contract requires -- so nothing
   about *when* a round executes can change *what* it produces.
 * **Execution is in flight.**  Planned rounds are submitted through
   :meth:`~repro.core.parallel.ExecutionBackend.submit_round` (which
   decomposes into ``submit_map`` on in-process backends and ships
   whole round shards per host on the remote round protocol) and
-  gathered when their results land, so the backend's workers fill the
-  next round while the consumer drains the previous one.
+  gathered when their results land, so with two rounds in flight the
+  backend's workers fill the next round while the consumer drains the
+  previous one.
 * **Buffers are double.**  Gathered bits land in a *back*
   :class:`~repro.bitops.BitBuffer`; the consumer drains the *front*
   buffer (the generator's serving pool); when the front drains, the
   buffers swap in O(1).
+* **Results are checked before they pool.**  Each landed round's
+  results must answer its tasks one for one
+  (:func:`~repro.core.parallel.check_results`); a malformed round
+  raises :class:`~repro.errors.BitstreamError` and pools nothing.
 * **Results ship packed where pickles cross process or host
   boundaries.**  On backends that pickle results (the process pool and
-  the remote socket backend of :mod:`repro.core.remote`), engine
-  rounds are planned with ``pack_output=True``: workers accumulate
-  conditioned bits (and raw read-outs, on monitored channels) into
-  packed byte pools worker-side and ship only bytes plus counts -- an
-  8x smaller result pickle (and socket frame) for
-  multi-hundred-megabit draws.  In-memory backends skip the packing
-  (pure overhead there); either way the bits are identical.
+  the remote socket backend of :mod:`repro.core.remote`), rounds are
+  planned with ``pack_output=True``: workers accumulate conditioned
+  bits (and raw read-outs, on monitored channels) into packed byte
+  pools worker-side and ship only bytes plus counts -- an 8x smaller
+  result pickle (and socket frame) for multi-hundred-megabit draws.
+  In-memory backends skip the packing (pure overhead there); either
+  way the bits are identical.
 
 Determinism contract
 --------------------
 
-The engine plans rounds with *exactly the arithmetic the synchronous
-path uses*: each round's deficit is the requested bits minus everything
-already committed (front pool + back buffer + in-flight rounds' exact
-yields, all known at plan time because a round's yield is
-``iterations x bits_per_iteration``).  The planned round sequence is
-therefore a pure function of the request sequence, identical to the
-synchronous path's -- and since every task result is a pure function of
-the task, **async harvest output is bit-identical to synchronous
-output** for any request sequence, on every backend, at every worker
-count.  ``tests/test_determinism.py`` replays the golden streams
-through the engine to pin this.
+Each round's deficit is the requested bits minus everything already
+committed (front pool + back buffer + in-flight rounds' exact yields,
+all known at plan time because a round's yield is ``iterations x
+bits_per_iteration``).  The planned round sequence is therefore a pure
+function of the request sequence, whatever the in-flight bound -- and
+since every task result is a pure function of the task, **output is
+bit-identical with one or two rounds in flight** for any request
+sequence, on every backend, at every worker count.
+``tests/test_determinism.py`` replays the golden streams in both modes
+to pin this.
 
 The one deliberate exception is :attr:`AsyncHarvestEngine.readahead`:
 with readahead enabled the engine commits the next round *before* the
 next request arrives, sized as if the previous request repeats.  For
 constant-size request streams (``iter_bytes``, the streaming hot path)
-the guess is always right and the stream still equals the synchronous
-one bit for bit; a varying request size makes the committed round
-differ from what a synchronous run would have planned, after which the
-two streams deliberately part ways (both remain individually
-reproducible).  Readahead is therefore opt-in.
+the guess is always right and the stream still equals the
+no-readahead one bit for bit; a varying request size makes the
+committed round differ from what a no-readahead run would have
+planned, after which the two streams deliberately part ways (both
+remain individually reproducible).  Readahead is therefore opt-in.
 
 Health monitoring
 -----------------
@@ -91,7 +101,8 @@ from typing import Deque, List, Optional
 
 from repro.bitops import BitBuffer
 from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
-                                 PendingResult, run_bank_task)
+                                 PendingResult, check_results,
+                                 run_bank_task)
 from repro.errors import InsufficientEntropyError, ReproError
 
 
@@ -141,20 +152,21 @@ class HarvestRound:
 class HarvestPlanner:
     """Protocol the engine drives (duck-typed; inheritance optional).
 
-    :class:`~repro.core.trng.QuacTrng` and
-    :class:`~repro.core.multichannel.SystemTrng` both implement it --
-    a planner is the *deterministic* half of a generator: it decides
-    round sizes, derives child-RNG keys (serially, advancing the draw
-    counters), and knows how to account a landed round's results.
+    Every generator implements it (:class:`~repro.core.trng.QuacTrng`,
+    :class:`~repro.core.multichannel.SystemTrng` and the monitored and
+    temperature-managed wrappers) -- a planner is the *deterministic*
+    half of a generator: it decides round sizes, derives child-RNG
+    keys (serially, advancing the draw counters), and knows how to
+    account a landed round's results.
     """
 
     def plan_round(self, deficit_bits: int,
                    pack_output: bool = False) -> HarvestRound:
         """Plan one refill round toward ``deficit_bits`` outstanding bits.
 
-        Must advance RNG draw counters exactly as the synchronous path
-        would, and must return a round with ``yield_bits >= 1``
-        iteration's worth of output for any positive deficit.
+        Must advance RNG draw counters serially, in plan order, and
+        must return a round with ``yield_bits >= 1`` iteration's worth
+        of output for any positive deficit.
         """
         raise NotImplementedError
 
@@ -165,9 +177,8 @@ class HarvestPlanner:
 
         Appends every healthy channel's conditioned bits to ``pool`` in
         span order.  A health alarm must not be raised here -- it is
-        *returned* (the first one, matching the synchronous path), so
-        the engine can pool the healthy channels' bits first and
-        re-raise afterwards.
+        *returned* (the round's first one), so the engine can pool the
+        healthy channels' bits first and re-raise afterwards.
         """
         raise NotImplementedError
 
@@ -189,30 +200,23 @@ class AsyncHarvestEngine:
     max_in_flight:
         Outstanding-round bound; the default 2 is the double buffer --
         one round being gathered/drained (front), one executing (back).
+        1 runs each round to completion before planning the next (what
+        a generator built with ``async_harvest=False`` uses).
     readahead:
         Commit the next draw's first rounds speculatively after each
         fill, sized as if the previous request repeats.  Bit-identical
-        to the synchronous path for constant-size request streams; see
-        the module docstring for the exact contract.
-    pack_results:
-        Plan rounds with worker-side packed byte pools.  ``None`` (the
-        default) packs exactly when the backend pickles results across
-        a process boundary
-        (:attr:`~repro.core.parallel.ExecutionBackend.ships_pickled_results`)
-        -- packing buys an 8x smaller pickle there, but is pure
-        overhead for in-memory backends.  Either setting ships the
-        same bits.
+        to the plain stream for constant-size request streams; see the
+        module docstring for the exact contract.
 
     Determinism
     -----------
-    ``fill`` produces the same pool contents as the synchronous
-    plan/execute/gather loop for any request sequence (with
-    ``readahead=False``); the engine only changes *when* work happens.
+    ``fill`` produces the same pool contents for any ``max_in_flight``
+    and any request sequence (with ``readahead=False``); the bound only
+    changes *when* work happens.
     """
 
     def __init__(self, planner: HarvestPlanner, backend: ExecutionBackend,
-                 max_in_flight: int = 2, readahead: bool = False,
-                 pack_results: Optional[bool] = None) -> None:
+                 max_in_flight: int = 2, readahead: bool = False) -> None:
         if max_in_flight < 1:
             raise InsufficientEntropyError(
                 f"need at least one in-flight round, got {max_in_flight}")
@@ -220,9 +224,6 @@ class AsyncHarvestEngine:
         self.backend = backend
         self.max_in_flight = max_in_flight
         self.readahead = readahead
-        if pack_results is None:
-            pack_results = getattr(backend, "ships_pickled_results", False)
-        self.pack_results = pack_results
         self._back = BitBuffer()
         self._in_flight: Deque[HarvestRound] = deque()
         #: Lifetime statistics (rounds planned / gathered / discarded).
@@ -233,6 +234,12 @@ class AsyncHarvestEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def pack_results(self) -> bool:
+        """Whether rounds ship worker-side packed byte pools: exactly
+        when the backend pickles results across a process boundary."""
+        return self.backend.ships_pickled_results
 
     @property
     def pending_rounds(self) -> int:
@@ -266,8 +273,8 @@ class AsyncHarvestEngine:
         Plans and submits rounds until the committed bits cover the
         deficit (at most :attr:`max_in_flight` rounds outstanding),
         gathers landed rounds into the back buffer, and swaps the back
-        buffer forward -- all in plan order, so the pool fills with
-        exactly the bits the synchronous path would have produced.
+        buffer forward -- all in plan order, so the pool fills with the
+        same bits whatever the in-flight bound.
 
         Raises the first deferred health failure of a landing round
         *after* pooling that round's healthy channels' bits; rounds
@@ -337,6 +344,7 @@ class AsyncHarvestEngine:
         """Join the oldest in-flight round into the back buffer."""
         round_ = self._in_flight.popleft()
         results = round_.pending.result()
+        check_results(round_.tasks, results)
         self.rounds_gathered += 1
         return self.planner.gather_round(round_, results, self._back)
 
@@ -386,7 +394,7 @@ class AsyncHarvestEngine:
 
         The graceful counterpart of :meth:`cancel_pending`: planned
         entropy is kept (pooled bits serve later draws), so a drained
-        engine's stream stays bit-identical to the synchronous path.
+        engine's stream stays bit-identical to one that never drained.
         Returns the first deferred health failure instead of raising,
         so teardown code can log and continue.
         """

@@ -34,7 +34,7 @@ import numpy as np
 from repro.bitops import BitBuffer, is_binary
 from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
                                 HarvestRound)
-from repro.core.trng import QuacTrng, batch_count_for, harvest_into
+from repro.core.trng import QuacTrng, batch_count_for
 from repro.errors import (BitstreamError, ConfigurationError,
                           ReproError)
 
@@ -215,7 +215,7 @@ class HealthMonitor:
         exact order a loop of per-iteration harvests would present raw
         blocks to :meth:`check` -- and fed through :meth:`check_many`.
         The one place the ordering contract lives, shared by every
-        monitored batched path, synchronous or async: results read
+        monitored batched path: results read
         through :meth:`~repro.core.parallel.BankResult.raw_matrix`, so
         packed (worker-side pooled) and unpacked rounds are monitored
         identically.
@@ -283,14 +283,15 @@ class MonitoredTrng:
     looks perfect even from a dead source -- exactly the failure the
     tests exist to catch).
 
-    With ``async_harvest=True`` the wrapper harvests through the
-    double-buffered :class:`~repro.core.harvest.AsyncHarvestEngine` on
-    the wrapped generator's backend: refill rounds execute while the
-    pool drains, raw read-outs travel with each round, and the
-    monitor's verdict is applied when a round *lands* -- so bits
-    pooled from rounds that passed stay pooled when a later in-flight
-    round alarms.  Output is bit-identical to the synchronous
-    monitored path for any request sequence.
+    Refills run through the wrapper's own
+    :class:`~repro.core.harvest.AsyncHarvestEngine`
+    (:attr:`harvest_engine`) on the wrapped generator's backend: raw
+    read-outs travel with each round, and the monitor's verdict is
+    applied when a round *lands* -- so bits pooled from rounds that
+    passed stay pooled when a later round alarms.  ``async_harvest``
+    lets two rounds be in flight instead of one, overlapping
+    execution with serving; the output, and the monitor's counters,
+    are bit-identical either way for any request sequence.
     """
 
     def __init__(self, trng: QuacTrng,
@@ -300,7 +301,9 @@ class MonitoredTrng:
         self.monitor = monitor or HealthMonitor()
         self._pool = BitBuffer()
         self.async_harvest = async_harvest
-        self._harvest_engine = None
+        #: The engine every pool refill runs through.
+        self.harvest_engine = AsyncHarvestEngine(
+            self, trng.backend, max_in_flight=2 if async_harvest else 1)
 
     @property
     def bits_per_iteration(self) -> int:
@@ -347,10 +350,10 @@ class MonitoredTrng:
         """Plan one monitored refill round toward ``deficit_bits``.
 
         The monitored instance of the
-        :class:`~repro.core.harvest.HarvestPlanner` protocol: sized by
-        the exact arithmetic of the synchronous monitored harvest (the
-        batch cap tightened by raw volume, since every iteration's raw
-        read-out travels with the round), planned with
+        :class:`~repro.core.harvest.HarvestPlanner` protocol: the batch
+        cap is tightened by raw volume
+        (:data:`MAX_MONITORED_RAW_BYTES`), since every iteration's raw
+        read-out travels with the round, and the round is planned with
         ``collect_raw=True`` so the verdict can be applied at gather
         time.
         """
@@ -372,8 +375,8 @@ class MonitoredTrng:
         Returns (never raises) the round's
         :class:`HealthTestFailure`, exactly like the system planner --
         the engine pools earlier healthy rounds' bits before the alarm
-        re-raises, so an in-flight alarm cannot destroy entropy the
-        monitor already passed.
+        re-raises, so an alarm cannot destroy entropy the monitor
+        already passed.
         """
         span = round_.spans[0]
         try:
@@ -383,29 +386,12 @@ class MonitoredTrng:
         pool.append(self.trng.assemble_batch(results))
         return None
 
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws."""
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self,
-                                                      self.trng.backend)
-        return self._harvest_engine
-
     def random_bits(self, n_bits: int) -> np.ndarray:
         """Generate ``n_bits`` with every contributing read-out checked.
 
-        Harvests through :meth:`batch_iterations` (the monitored
-        equivalent of :meth:`QuacTrng.random_bits`); surplus conditioned
-        bits are pooled and served first on the next call.  Batches are
-        additionally capped by raw volume
-        (:data:`MAX_MONITORED_RAW_BYTES`) since every iteration's raw
-        read-out travels with the batch.  With ``async_harvest`` the
-        same rounds run through the double-buffered engine instead --
-        same bits, overlapped with serving.
+        Refill rounds run through :attr:`harvest_engine` (the monitored
+        equivalent of :meth:`QuacTrng.random_bits`); surplus
+        conditioned bits are pooled and served first on the next call.
         """
-        if self.async_harvest:
-            self.harvest_engine.fill(self._pool, n_bits)
-            return self._pool.take(n_bits)
-        harvest_into(self._pool, n_bits, lambda: self,
-                     max_iterations=monitored_batch_cap(self.trng))
+        self.harvest_engine.fill(self._pool, n_bits)
         return self._pool.take(n_bits)

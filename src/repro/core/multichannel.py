@@ -34,6 +34,7 @@ from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
                                 HarvestRound)
 from repro.core.health import (HealthMonitor, HealthTestFailure,
                                monitored_batch_cap)
+# run_bank_task is imported for the benchmark tracer, which patches it here.
 from repro.core.parallel import (BankResult, ExecutionBackend,
                                  resolve_backend, run_bank_task)
 from repro.core.trng import QuacTrng, batch_count_for
@@ -66,16 +67,15 @@ class SystemTrng:
         through :meth:`HealthMonitor.check_many` before its conditioned
         bits enter the pool.
     async_harvest:
-        Route refill rounds through the double-buffered
-        :class:`~repro.core.harvest.AsyncHarvestEngine`: while the
-        consumer drains the pool, the next planned round is already in
-        flight on the backend, and workers ship packed byte pools
-        instead of unpacked matrices.  Output is **bit-identical** to
-        the synchronous path for any request sequence (pinned by the
-        golden streams in ``tests/test_determinism.py``).  Monitor
-        verdicts are applied when an in-flight round lands; healthy
-        channels' bits are pooled before any alarm re-raises, exactly
-        as in the synchronous path.
+        Let the system's :class:`~repro.core.harvest.AsyncHarvestEngine`
+        (:attr:`harvest_engine`, the one refill loop) keep two rounds
+        in flight instead of one: while the consumer drains the pool,
+        the next planned round is already executing on the backend.
+        Output is **bit-identical** either way for any request
+        sequence (pinned by the golden streams in
+        ``tests/test_determinism.py``).  Monitor verdicts are applied
+        when a round lands; healthy channels' bits are pooled before
+        any alarm re-raises.
 
     Example
     -------
@@ -122,7 +122,10 @@ class SystemTrng:
         self._next_channel = 0
         self._pool = BitBuffer()
         self.async_harvest = async_harvest
-        self._harvest_engine: Optional[AsyncHarvestEngine] = None
+        #: The engine every pool refill runs through; exposed for
+        #: introspection, readahead control and teardown.
+        self.harvest_engine = AsyncHarvestEngine(
+            self, self.backend, max_in_flight=2 if async_harvest else 1)
 
     @property
     def n_channels(self) -> int:
@@ -155,18 +158,21 @@ class SystemTrng:
         and all scheduled channels' per-bank tasks execute together on
         the system's backend.  Surplus conditioned bits are pooled and
         served first on the next call -- nothing is regenerated or
-        discarded.
+        discarded.  Rounds run through :attr:`harvest_engine`; a
+        monitored channel that alarms contributes nothing, but the
+        round's healthy channels' bits are pooled before the
+        :class:`~repro.core.health.HealthTestFailure` re-raises.
         """
         if n_bits < 0:
             raise InsufficientEntropyError("bit count must be non-negative")
-        self._refill(n_bits)
+        self.harvest_engine.fill(self._pool, n_bits)
         return self._pool.take(n_bits)
 
     def random_bytes(self, n_bytes: int) -> bytes:
         """Harvest ``n_bytes`` of conditioned output (packed byte path)."""
         if n_bytes < 0:
             raise InsufficientEntropyError("byte count must be non-negative")
-        self._refill(8 * n_bytes)
+        self.harvest_engine.fill(self._pool, 8 * n_bytes)
         return self._pool.take_bytes(n_bytes)
 
     def _harvest_plan(self, deficit: int) -> List[Tuple[int, int]]:
@@ -210,8 +216,8 @@ class SystemTrng:
         round-robin schedule (:meth:`_harvest_plan`) picks channels and
         batch sizes, then every scheduled channel's per-bank tasks are
         planned *serially in schedule order* -- fixing the child-RNG
-        keys and the rotation cursor exactly as the synchronous path
-        does, whatever backend later executes the round.  Monitored
+        keys and the rotation cursor whatever backend later executes
+        the round, and however many rounds are in flight.  Monitored
         channels' tasks carry their raw read-outs
         (``collect_raw=True``) so verdicts can be applied at gather
         time.
@@ -241,9 +247,9 @@ class SystemTrng:
         configured) and its conditioned bits appended to ``pool`` in
         schedule order.  A channel whose monitor alarms contributes
         nothing, but every healthy channel's bits are pooled first; the
-        round's *first* failure is **returned**, not raised, so callers
-        (the synchronous loop and the async engine alike) can commit
-        the healthy bits before propagating the alarm.
+        round's *first* failure is **returned**, not raised, so the
+        harvest engine can commit the healthy bits before propagating
+        the alarm.
         """
         failure: Optional[HealthTestFailure] = None
         for span in round_.spans:
@@ -258,50 +264,6 @@ class SystemTrng:
                     continue
             pool.append(self.channels[span.channel].assemble_batch(chunk))
         return failure
-
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws.
-
-        Built lazily on first use; exposed for introspection
-        (``pending_rounds``, ``back_bits``), readahead control, and
-        teardown (``cancel_pending`` / ``drain``).
-        """
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self, self.backend)
-        return self._harvest_engine
-
-    def _refill(self, n_bits: int) -> None:
-        """Top the pool up to ``n_bits`` in planned parallel rounds.
-
-        Each round plans every scheduled channel's per-bank tasks
-        serially (fixing the draw order and child-RNG keys), executes
-        the combined task list on the backend, monitors each channel's
-        raw read-outs (when a monitor is configured), and pools the
-        conditioned bits in schedule order.  A channel whose monitor
-        alarms contributes nothing, but every healthy channel's bits
-        are pooled *before* the first alarm re-raises -- pooled bits
-        survive the failure and serve later draws.
-
-        With ``async_harvest`` the same plan/gather methods run inside
-        the :class:`~repro.core.harvest.AsyncHarvestEngine`, which
-        overlaps round execution with pooling and serving -- one code
-        path decides what to generate, two decide when.
-        """
-        if self.async_harvest:
-            self.harvest_engine.fill(self._pool, n_bits)
-            return
-        pack = self.backend.ships_pickled_results
-        while len(self._pool) < n_bits:
-            round_ = self.plan_round(n_bits - len(self._pool),
-                                     pack_output=pack)
-            # run_round lets a backend that ships whole rounds take
-            # the multi-channel round as one request per host.
-            results = self.backend.run_round(run_bank_task,
-                                             round_.tasks)
-            failure = self.gather_round(round_, results, self._pool)
-            if failure is not None:
-                raise failure
 
     def iter_bytes(self, chunk_size: int) -> Iterator[bytes]:
         """Stream conditioned output as ``chunk_size``-byte chunks.

@@ -53,11 +53,9 @@ Three calling conventions share the determinism contract:
   ``submit_map`` (the generic fallback); the remote backend ships each
   host its whole contiguous shard in a single request
   (:attr:`ExecutionBackend.ships_whole_rounds`), cutting socket round
-  trips per refill from one per bank to one per host.  The async
-  harvest engine always submits through it; the synchronous refill
-  paths prefer it when the backend advertises ``ships_whole_rounds``
-  and otherwise keep the blocking :meth:`ExecutionBackend.map` (whose
-  pooled implementations run single-task rounds inline).
+  trips per refill from one per bank to one per host.  Every pool
+  refill goes through it, via the harvest engine
+  (:mod:`repro.core.harvest`).
 
 Because every result is a pure function of its task, *when* a result is
 gathered can never change *what* it contains -- ``submit_map(fn,
@@ -80,7 +78,7 @@ from repro.bitops import pack_bits, unpack_bits
 from repro.crypto.conditioner import Sha256Conditioner
 from repro.crypto.sha256 import Sha256
 from repro.dram.sense_amplifier import sample_settles
-from repro.errors import ConfigurationError
+from repro.errors import BitstreamError, ConfigurationError
 from repro.rng import generator_from_key
 
 #: Environment variable naming the default backend spec.
@@ -233,6 +231,52 @@ def run_bank_task(task: BankTask) -> BankResult:
                       iterations=task.iterations,
                       digest_bits=digests.shape[1],
                       raw_bits=raw.shape[1] if task.collect_raw else 0)
+
+
+def check_results(tasks: Sequence[BankTask],
+                  results: Sequence[BankResult]) -> None:
+    """Raise :class:`~repro.errors.BitstreamError` unless ``results``
+    answer ``tasks`` one for one.
+
+    Each result must carry its task's iteration count, one 256-bit
+    digest column per SHA input block, a digest payload of exactly that
+    size (matrix shape, or packed byte length), and raw read-outs --
+    one column per bitline -- exactly when the task collected them.
+    Counts only, so the check costs O(tasks) however large the round;
+    a well-framed but wrong result is caught before any of its round's
+    bits are pooled.
+    """
+    if len(results) != len(tasks):
+        raise BitstreamError(f"round of {len(tasks)} tasks returned "
+                             f"{len(results)} results")
+    for index, (task, result) in enumerate(zip(tasks, results)):
+        rows = task.iterations
+        digest_bits = Sha256.DIGEST_BITS * len(task.block_slices)
+        raw_bits = task.probabilities.size if task.collect_raw else 0
+        if not (isinstance(result, BankResult)
+                and result.iterations == rows
+                and result.digest_bits == digest_bits
+                and result.raw_bits == raw_bits
+                and _payload_fits(result.digests, result.digests_packed,
+                                  (rows, digest_bits))
+                and _payload_fits(result.raw, result.raw_packed,
+                                  (rows, raw_bits) if task.collect_raw
+                                  else None)):
+            raise BitstreamError(
+                f"result {index} of the round does not answer its task "
+                f"({rows} iterations x {digest_bits} digest bits, "
+                f"{raw_bits} raw bits)")
+
+
+def _payload_fits(matrix: Optional[np.ndarray], packed: Optional[bytes],
+                  shape: Optional[Tuple[int, int]]) -> bool:
+    """True when exactly one payload form holds a ``shape`` bit matrix,
+    or, for ``shape=None``, when neither form is present."""
+    if shape is None:
+        return matrix is None and packed is None
+    if matrix is not None:
+        return packed is None and matrix.shape == shape
+    return packed is not None and len(packed) == -(-shape[0] * shape[1] // 8)
 
 
 # ----------------------------------------------------------------------
@@ -396,12 +440,13 @@ class ExecutionBackend(abc.ABC):
     def run_round(self, fn: Callable, tasks: Sequence) -> List:
         """Execute one planned round, blocking until its results.
 
-        The synchronous refill paths' capability switch, in one
-        place: a backend that advertises :attr:`ships_whole_rounds`
-        submits the round as a unit (one request per host) and joins
-        it; everywhere else the blocking :meth:`map` keeps its inline
-        fast paths (pooled backends run single-task rounds in the
-        caller).  Bit-identical results either way.
+        For one-off batches outside the pool refills
+        (:meth:`~repro.core.trng.QuacTrng.execute_batch`): a backend
+        that advertises :attr:`ships_whole_rounds` submits the round
+        as a unit (one request per host) and joins it; everywhere else
+        the blocking :meth:`map` keeps its inline fast paths (pooled
+        backends run single-task rounds in the caller).  Bit-identical
+        results either way.
         """
         if self.ships_whole_rounds:
             return self.submit_round(fn, tasks).result()

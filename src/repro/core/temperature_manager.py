@@ -27,7 +27,7 @@ import numpy as np
 from repro.bitops import BitBuffer
 from repro.core.harvest import AsyncHarvestEngine, HarvestRound
 from repro.core.parallel import ExecutionBackend, resolve_backend
-from repro.core.trng import QuacTrng, harvest_into
+from repro.core.trng import QuacTrng
 from repro.core.throughput import TrngConfiguration
 from repro.dram.device import BEST_DATA_PATTERN, DramModule
 from repro.errors import CharacterizationError, ConfigurationError
@@ -70,15 +70,15 @@ class TemperatureManagedTrng:
         shared pool drives the batched harvest whichever range is
         active.
     async_harvest:
-        Harvest through the double-buffered
-        :class:`~repro.core.harvest.AsyncHarvestEngine`: rounds are
-        planned against the active range's stored tables and execute
-        on the backend while the pool drains.  A round that lands
-        after the sensor has left the range it was planned under is
-        discarded, upholding the stored-table contract that output
-        always comes from plans covering the current temperature.
-        At a steady sensor reading the output is bit-identical to the
-        synchronous path.
+        Let the generator's :class:`~repro.core.harvest.AsyncHarvestEngine`
+        (:attr:`harvest_engine`, the one refill loop) keep two rounds
+        in flight instead of one, so rounds execute on the backend
+        while the pool drains.  Rounds are always planned against the
+        active range's stored tables, and a round that lands after the
+        sensor has left the range it was planned under is discarded,
+        upholding the stored-table contract that output always comes
+        from plans covering the current temperature.  At a steady
+        sensor reading the output is bit-identical either way.
     """
 
     def __init__(self, module: DramModule,
@@ -105,7 +105,9 @@ class TemperatureManagedTrng:
         #: Range entry whose plans filled the current pool surplus.
         self._pool_entry: Optional[RangeEntry] = None
         self.async_harvest = async_harvest
-        self._harvest_engine: Optional[AsyncHarvestEngine] = None
+        #: The engine every pool refill runs through.
+        self.harvest_engine = AsyncHarvestEngine(
+            self, self.backend, max_in_flight=2 if async_harvest else 1)
 
     # ------------------------------------------------------------------
     # Setup
@@ -193,21 +195,6 @@ class TemperatureManagedTrng:
         """
         return self.active_entry().trng.batch_iterations(n)
 
-    def _pooled_source(self) -> QuacTrng:
-        """The active range's generator, invalidating a stale pool.
-
-        Surplus bits were conditioned under the range that harvested
-        them; when the sensor has moved to a different range the pool
-        is discarded rather than served -- the stored-table contract is
-        that output always comes from plans covering the current
-        temperature.
-        """
-        entry = self.active_entry()
-        if entry is not self._pool_entry:
-            self._pool.clear()
-            self._pool_entry = entry
-        return entry.trng
-
     # ------------------------------------------------------------------
     # Harvest-planner protocol (repro.core.harvest)
     # ------------------------------------------------------------------
@@ -218,8 +205,7 @@ class TemperatureManagedTrng:
 
         The temperature-managed instance of the
         :class:`~repro.core.harvest.HarvestPlanner` protocol: the
-        sensor is read per round (exactly as the synchronous path
-        reads it per batch) and the round remembers which range
+        sensor is read per round and the round remembers which range
         planned it (:attr:`~repro.core.harvest.HarvestRound.context`),
         so a landing round can be checked against the sensor again.
         """
@@ -239,9 +225,8 @@ class TemperatureManagedTrng:
         round under the now-active range.  The first round landing
         under a *new* range additionally flushes surplus the old range
         left behind -- the serving pool and the engine's back buffer
-        -- exactly as the synchronous path's per-batch
-        :meth:`_pooled_source` check does mid-draw, so output never
-        mixes ranges.
+        -- so output never mixes ranges, even when the sensor moves
+        mid-draw.
         """
         entry = round_.context
         if not entry.covers(self.module.temperature_c):
@@ -252,30 +237,18 @@ class TemperatureManagedTrng:
             self._pool_entry = entry
         return entry.trng.gather_round(round_, results, pool)
 
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws."""
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self, self.backend)
-        return self._harvest_engine
-
     def random_bits(self, n_bits: int) -> np.ndarray:
         """Generate bits, re-selecting the range as temperature moves.
 
-        Harvests through the batched engine: the sensor is re-read
-        before every batch (a temperature excursion mid-draw switches
-        plan tables at batch granularity), each batch is sized to the
+        Harvests through :attr:`harvest_engine`: the sensor is re-read
+        for every round (a temperature excursion mid-draw switches plan
+        tables at round granularity), each round is sized to the
         remaining deficit, and surplus conditioned bits are pooled and
         served first on the next call -- unless the temperature has
-        left the range that generated them, which flushes the pool.
-        With ``async_harvest`` the same rounds run through the
-        double-buffered engine; a range change additionally drains the
-        engine's backlog (stale rounds discard themselves at gather).
+        left the range that generated them, which flushes the pool and
+        the engine's backlog (stale rounds discard themselves at
+        gather).
         """
-        if not self.async_harvest:
-            self._pooled_source()  # flush a stale pool before serving
-            harvest_into(self._pool, n_bits, self._pooled_source)
-            return self._pool.take(n_bits)
         entry = self.active_entry()
         if entry is not self._pool_entry:
             # Everything backlogged -- pooled, buffered, or in flight

@@ -38,7 +38,8 @@ from repro.controller.rowclone import (reserved_rows_for,
 from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
                                 HarvestRound)
 from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
-                                 resolve_backend, run_bank_task)
+                                 check_results, resolve_backend,
+                                 run_bank_task)
 from repro.core.quac import QuacExecutor
 from repro.core.throughput import (IterationBreakdown, QuacThroughputModel,
                                    TrngConfiguration)
@@ -62,39 +63,13 @@ MAX_BATCH_ITERATIONS = 1024
 def batch_count_for(deficit_bits: int, bits_per_iteration: int) -> int:
     """Iterations needed to cover a bit deficit, capped at the batch cap.
 
-    The one batch-sizing rule every pooled harvest path shares
-    (:meth:`QuacTrng.random_bits`, the monitored and
+    The one batch-sizing rule every round planner shares
+    (:meth:`QuacTrng.plan_round`, the monitored and
     temperature-managed wrappers, and the system scheduler) -- change
     it here and they all follow.
     """
     return min(MAX_BATCH_ITERATIONS,
                -(-deficit_bits // bits_per_iteration))
-
-
-def harvest_into(pool: BitBuffer, n_bits: int, next_source,
-                 max_iterations: Optional[int] = None) -> None:
-    """Top ``pool`` up to ``n_bits`` of batched conditioned output.
-
-    The pooled-harvest loop shared by :class:`QuacTrng` and the
-    monitored / temperature-managed wrappers: ``next_source()`` is
-    re-consulted before every batch (so a wrapper can re-select its
-    active generator mid-draw) and must return an object exposing
-    ``bits_per_iteration`` and ``batch_iterations(n)``.
-    ``max_iterations`` tightens the per-batch cap below
-    :data:`MAX_BATCH_ITERATIONS` for sources with per-iteration
-    overheads beyond the conditioned bits (e.g. monitored harvests
-    hauling raw read-out matrices).
-    """
-    if n_bits < 0:
-        raise InsufficientEntropyError("bit count must be non-negative")
-    while len(pool) < n_bits:
-        source = next_source()
-        count = batch_count_for(n_bits - len(pool),
-                                source.bits_per_iteration)
-        if max_iterations is not None:
-            count = max(1, min(count, max_iterations))
-        bits, _latency = source.batch_iterations(count)
-        pool.append(bits)
 
 
 class QuacTrng:
@@ -126,15 +101,14 @@ class QuacTrng:
         serial).  Output is bit-identical across backends, worker
         counts, and host counts.
     async_harvest:
-        Route pooled draws through the double-buffered
-        :class:`~repro.core.harvest.AsyncHarvestEngine`: refill rounds
-        execute on the backend while the previous round's bits pool and
-        serve, and workers ship packed byte pools instead of unpacked
-        matrices.  Output is **bit-identical** to the synchronous path
-        for any request sequence (the golden streams in
-        ``tests/test_determinism.py`` replay under both modes); only
-        wall-clock behaviour changes.  The ``faithful=True`` path stays
-        synchronous by design.
+        Let the generator's :class:`~repro.core.harvest.AsyncHarvestEngine`
+        (:attr:`harvest_engine`, the one refill loop) keep two rounds
+        in flight instead of one, so the next refill round executes on
+        the backend while the previous round's bits pool and serve.
+        Output is **bit-identical** either way for any request
+        sequence (the golden streams in ``tests/test_determinism.py``
+        replay under both modes); only wall-clock behaviour changes.
+        The ``faithful=True`` path stays synchronous by design.
 
     Example
     -------
@@ -181,7 +155,10 @@ class QuacTrng:
         self._setup_reserved_rows()
         self._pool = BitBuffer()
         self.async_harvest = async_harvest
-        self._harvest_engine: Optional[AsyncHarvestEngine] = None
+        #: The engine every pool refill runs through; exposed for
+        #: introspection, readahead control and teardown.
+        self.harvest_engine = AsyncHarvestEngine(
+            self, self.backend, max_in_flight=2 if async_harvest else 1)
 
     # ------------------------------------------------------------------
     # Characterization (step 0)
@@ -313,16 +290,19 @@ class QuacTrng:
         across a process or host boundary
         (:attr:`~repro.core.parallel.ExecutionBackend.ships_pickled_results`),
         workers pool their output into packed bytes before shipping --
-        same bits, ~8x smaller result payloads.
+        same bits, ~8x smaller result payloads.  Results that do not
+        answer their tasks raise
+        :class:`~repro.errors.BitstreamError`.
         """
+        tasks = self.plan_batch(
+            n, collect_raw,
+            pack_output=self.backend.ships_pickled_results)
         # One batch is one planned round; run_round lets a backend
         # that ships whole rounds (the remote round protocol) take it
         # as one request per host.
-        return self.backend.run_round(
-            run_bank_task,
-            self.plan_batch(n, collect_raw,
-                            pack_output=self.backend
-                            .ships_pickled_results))
+        results = self.backend.run_round(run_bank_task, tasks)
+        check_results(tasks, results)
+        return results
 
     def plan_batch(self, n: int, collect_raw: bool = False,
                    pack_output: bool = False) -> List[BankTask]:
@@ -335,8 +315,8 @@ class QuacTrng:
         bit-identical results.  ``collect_raw`` asks workers to also
         return the raw read-out matrices, for health monitoring;
         ``pack_output`` asks them to accumulate results into packed
-        byte pools worker-side (same bits, 8x smaller pickles -- the
-        async harvest engine's wire format).
+        byte pools worker-side (same bits, 8x smaller pickles -- what
+        the harvest engine plans on pickling backends).
         """
         if n <= 0:
             raise ConfigurationError(
@@ -382,8 +362,8 @@ class QuacTrng:
         :class:`~repro.core.harvest.HarvestPlanner` protocol: one round
         is one batch of :func:`batch_count_for` iterations, planned
         serially through :meth:`plan_batch` (advancing the draw
-        counters exactly as the synchronous path would), laid out as a
-        single :class:`~repro.core.harvest.ChannelSpan`.
+        counters in plan order), laid out as a single
+        :class:`~repro.core.harvest.ChannelSpan`.
         """
         count = batch_count_for(deficit_bits, self.bits_per_iteration)
         tasks = self.plan_batch(count, pack_output=pack_output)
@@ -406,27 +386,15 @@ class QuacTrng:
         pool.append(self.assemble_batch(results))
         return None
 
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws.
-
-        Built lazily on first use (so synchronous generators never pay
-        for it); exposed for introspection (``pending_rounds``,
-        ``back_bits``), readahead control, and teardown
-        (``cancel_pending`` / ``drain``).
-        """
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self, self.backend)
-        return self._harvest_engine
-
     def random_bits(self, n_bits: int, faithful: bool = False) -> np.ndarray:
         """Generate exactly ``n_bits`` conditioned random bits.
 
-        Bulk requests run through :meth:`batch_iterations`; surplus
-        conditioned bits are pooled (packed) and served first on the
-        next call, so consecutive draws never regenerate.  With
-        ``async_harvest`` the refill rounds overlap with pool draining
-        on the execution backend -- same bits, sooner.
+        Refills run as planned batched rounds through
+        :attr:`harvest_engine`; surplus conditioned bits are pooled
+        (packed) and served first on the next call, so consecutive
+        draws never regenerate.  With ``async_harvest`` the refill
+        rounds overlap with pool draining on the execution backend --
+        same bits, sooner.
         """
         if n_bits < 0:
             raise InsufficientEntropyError("bit count must be non-negative")
@@ -447,10 +415,7 @@ class QuacTrng:
     def _refill(self, n_bits: int, faithful: bool) -> None:
         """Top the pool up to ``n_bits`` through the batched fast path."""
         if not faithful:
-            if self.async_harvest:
-                self.harvest_engine.fill(self._pool, n_bits)
-            else:
-                harvest_into(self._pool, n_bits, lambda: self)
+            self.harvest_engine.fill(self._pool, n_bits)
             return
         while len(self._pool) < n_bits:
             bits, _latency = self.iteration(faithful=True)

@@ -16,6 +16,8 @@ rounds -- that is what actually exercises the pipeline (plan round k+1
 while round k executes) without multi-megabit draws.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
                                  resolve_backend, run_bank_task)
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
-from repro.errors import InsufficientEntropyError
+from repro.errors import BitstreamError, InsufficientEntropyError
 
 
 def _fresh_trng(module, entropy_scale, backend=None, **kwargs):
@@ -294,6 +296,90 @@ class TestInFlightHealthFailure:
         assert all(m.samples_checked > 0 for m in monitors)
 
 
+class _CorruptingBackend(SerialBackend):
+    """A serial backend whose rounds come back subtly wrong.
+
+    ``corrupt(results)`` rewrites each mapped round's result list --
+    well-framed objects whose content no longer answers their tasks.
+    """
+
+    def __init__(self, corrupt) -> None:
+        self.corrupt = corrupt
+
+    def map(self, fn, tasks):
+        return self.corrupt(super().map(fn, tasks))
+
+
+def _short_bank0(results):
+    """Drop bank 0's last 256 digest columns, counts left as shipped."""
+    head = results[0]
+    return [dataclasses.replace(head, digests=head.digests[:, :-256])] \
+        + results[1:]
+
+
+def _short_bank0_recounted(results):
+    """Drop bank 0's last digest, with a count that matches the cut."""
+    head = results[0]
+    return [dataclasses.replace(head, digests=head.digests[:, :-256],
+                                digest_bits=head.digest_bits - 256)] \
+        + results[1:]
+
+
+def _missing_last(results):
+    return results[:-1]
+
+
+def _raw_smuggled(results):
+    return [dataclasses.replace(r, raw=np.zeros((r.iterations, 8),
+                                                dtype=np.uint8),
+                                raw_bits=8) for r in results]
+
+
+class TestMalformedResults:
+    """A result that does not answer its task is rejected at gather,
+    and nothing from its round is pooled."""
+
+    CORRUPTIONS = [_short_bank0, _short_bank0_recounted, _missing_last,
+                   _raw_smuggled]
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS,
+                             ids=lambda fn: fn.__name__.strip("_"))
+    @pytest.mark.parametrize("async_harvest", [False, True],
+                             ids=["sync", "async"])
+    def test_system_rejects_round(self, small_geometry, entropy_scale,
+                                  corrupt, async_harvest):
+        system = _fresh_system(small_geometry, entropy_scale,
+                               backend=_CorruptingBackend(corrupt),
+                               async_harvest=async_harvest)
+        with pytest.raises(BitstreamError):
+            system.random_bits(100_000)
+        assert system.pooled_bits == 0
+        assert system.harvest_engine.back_bits() == 0
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS,
+                             ids=lambda fn: fn.__name__.strip("_"))
+    def test_batch_rejects_round(self, module_m13, entropy_scale,
+                                 corrupt):
+        trng = _fresh_trng(module_m13, entropy_scale,
+                           backend=_CorruptingBackend(corrupt))
+        with pytest.raises(BitstreamError):
+            trng.batch_iterations(3)
+
+    def test_monitored_round_missing_raw_rejected(self, small_geometry,
+                                                  entropy_scale):
+        def drop_raw(results):
+            return [dataclasses.replace(r, raw=None) for r in results]
+
+        modules = build_table3_population(small_geometry, names=["M13"])
+        system = SystemTrng(modules,
+                            entropy_per_block=256.0 * entropy_scale,
+                            backend=_CorruptingBackend(drop_raw),
+                            monitors=[HealthMonitor()])
+        with pytest.raises(BitstreamError):
+            system.random_bits(4096)
+        assert system.pooled_bits == 0
+
+
 class TestBackendEnvSwitching:
     """REPRO_EXECUTION_BACKEND switching mid-process."""
 
@@ -358,8 +444,6 @@ class TestPackedResults:
             .pack_results is False
         assert AsyncHarvestEngine(trng, ProcessPoolBackend(2)) \
             .pack_results is True
-        assert AsyncHarvestEngine(trng, SerialBackend(),
-                                  pack_results=True).pack_results is True
 
     def test_packed_monitoring_counts_identically(self, module_m13,
                                                   entropy_scale):

@@ -21,6 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.health import HealthMonitor, MonitoredTrng
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (ProcessPoolBackend, SerialBackend,
                                  ThreadPoolBackend)
@@ -115,6 +116,16 @@ def quac_stream(backend, async_harvest=False) -> np.ndarray:
     return trng.random_bits(GOLDEN_BITS)
 
 
+def monitored_stream(backend, async_harvest=False):
+    geometry = _geometry()
+    module = build_module(spec_by_name("M13"), geometry)
+    trng = QuacTrng(module, entropy_per_block=_entropy_per_block(geometry),
+                    backend=backend)
+    monitored = MonitoredTrng(trng, HealthMonitor(),
+                              async_harvest=async_harvest)
+    return monitored.random_bits(GOLDEN_BITS), monitored.monitor
+
+
 def system_streams(backend, async_harvest=False):
     geometry = _geometry()
     modules = build_table3_population(geometry, names=["M13", "M4"])
@@ -131,6 +142,20 @@ def test_quac_golden_stream(golden_backend, async_harvest):
     stream = quac_stream(golden_backend, async_harvest)
     assert _prefix(stream) == QUAC_PREFIX
     assert _digest(stream) == QUAC_SHA256
+
+
+@pytest.mark.parametrize("async_harvest", HARVEST_MODES, ids=HARVEST_IDS)
+def test_monitored_golden_stream(golden_backend, async_harvest):
+    # Health monitoring observes raw read-outs and never changes the
+    # conditioned bits: the monitored wrapper serves the QuacTrng
+    # golden, having checked every read-out behind it.
+    stream, monitor = monitored_stream(golden_backend, async_harvest)
+    assert _prefix(stream) == QUAC_PREFIX
+    assert _digest(stream) == QUAC_SHA256
+    # One iteration (7168 bits) covers the draw: four banks' 4096-bit
+    # read-outs, every one checked.
+    assert monitor.samples_checked == 16384
+    assert monitor.rct_failures == 0
 
 
 @pytest.mark.parametrize("async_harvest", HARVEST_MODES, ids=HARVEST_IDS)
